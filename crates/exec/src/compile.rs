@@ -773,7 +773,7 @@ impl Lowering<'_> {
                 Ok(dst)
             }
             TypedNode::Apply { op, args, .. } => {
-                // Same dispatch order as `EvalCtx::eval` / `is_pure_expr`:
+                // Same dispatch order as `EvalCtx::eval`:
                 // a registered operator wins over attribute access, and
                 // only the unoverridden atomic built-ins compile.
                 if self.engine.is_atomic_op(op) {
@@ -1003,8 +1003,9 @@ pub fn compile_gated(engine: &ExecEngine, closure: &Arc<Closure>) -> Option<Arc<
 }
 
 /// [`compile_gated`] without the counters: for transient per-call
-/// lowerings (the parallel executor's [`crate::parallel::PureFun`]) that
-/// would otherwise inflate the per-plan compile statistics.
+/// lowerings (the parallel `select` / `join` / search-join paths, which
+/// call the program directly on worker threads) that would otherwise
+/// inflate the per-plan compile statistics.
 pub fn compile_silent(engine: &ExecEngine, closure: &Arc<Closure>) -> Option<Arc<CompiledFun>> {
     if !engine.compile_exprs_enabled() {
         return None;

@@ -32,14 +32,15 @@ pub type OpImpl =
 pub struct ExecEngine {
     pub pool: Arc<BufferPool>,
     ops: HashMap<Symbol, OpImpl>,
-    /// Operators known to be context-free (evaluable on worker threads
-    /// by [`crate::parallel`]). An override via [`ExecEngine::add_op`]
-    /// clears the mark — a replaced implementation may do anything.
+    /// Operators known to be context-free (the only ones
+    /// [`crate::compile`] lowers, so the only ones that run on worker
+    /// threads). An override via [`ExecEngine::add_op`] clears the mark
+    /// — a replaced implementation may do anything.
     atomic: std::collections::HashSet<Symbol>,
     /// Worker threads for intra-operator parallelism; `1` disables it.
     workers: usize,
-    /// Tuples pulled per `next_batch` call; `1` selects the exact legacy
-    /// tuple-at-a-time drains (see [`crate::stream::Cursor::next_batch`]).
+    /// Tuples pulled per batch (see
+    /// [`crate::stream::Cursor::next_batch_into`]); `1` is a batch of one.
     batch: usize,
     /// Whether closures are lowered to bytecode where possible (see
     /// [`crate::compile`]); `false` keeps the interpreter everywhere.
@@ -108,8 +109,8 @@ impl ExecEngine {
         self.workers
     }
 
-    /// Set the vectorized batch width (min 1). `1` restores the exact
-    /// tuple-at-a-time legacy behavior in every consumer.
+    /// Set the vectorized batch width (min 1). Every consumer drains
+    /// through the same batch path; `1` pulls a batch of one tuple.
     pub fn set_batch_size(&mut self, n: usize) {
         self.batch = n.max(1);
     }
@@ -121,7 +122,8 @@ impl ExecEngine {
 
     /// Enable or disable expression compilation. `false` keeps the
     /// interpreter on every path (the A/B switch for the differential
-    /// compiled-vs-interpreted harness).
+    /// compiled-vs-interpreted harness) and runs closure pipelines
+    /// serially: only compiled programs run on parallel workers.
     pub fn set_compile_exprs(&mut self, on: bool) {
         self.compile = on;
     }

@@ -130,29 +130,20 @@ pub fn register(e: &mut ExecEngine) {
             if let Some(res) = crate::parallel::try_par_count(ctx.engine, &mut cursor) {
                 return Ok(Value::Int(res?));
             }
-            // ...else drain the pipeline without buffering: whole
-            // batches when the engine's batch width allows, one tuple
-            // at a time otherwise.
+            // ...else drain the pipeline in batches without buffering.
             let width = ctx.engine.batch_size();
-            let mut n = 0i64;
-            if width > 1 {
-                let mut batches = 0u64;
-                let mut buf = Vec::with_capacity(width.min(4096));
-                loop {
-                    buf.clear();
-                    let got = cursor.next_batch_into(ctx, width, &mut buf)?;
-                    if got == 0 {
-                        break;
-                    }
-                    n += got as i64;
-                    batches += 1;
+            let (mut n, mut batches) = (0i64, 0u64);
+            let mut buf = Vec::with_capacity(width.min(4096));
+            loop {
+                buf.clear();
+                let got = cursor.next_batch_into(ctx, width, &mut buf)?;
+                if got == 0 {
+                    break;
                 }
-                ctx.engine.stats.record_batches("count", batches, n as u64);
-            } else {
-                while cursor.next(ctx)?.is_some() {
-                    n += 1;
-                }
+                n += got as i64;
+                batches += 1;
             }
+            ctx.engine.stats.record_batches("count", batches, n as u64);
             ctx.engine.stats.record("count", 1, n as usize, 1, 0);
             Ok(Value::Int(n))
         }

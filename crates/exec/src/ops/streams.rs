@@ -224,28 +224,21 @@ pub fn register(e: &mut ExecEngine) {
         let mut input = into_cursor(args[0].clone())?;
         let heap = HeapFile::create(ctx.engine.pool.clone())?;
         let width = ctx.engine.batch_size();
-        if width > 1 {
-            let mut batches = 0u64;
-            let mut rows = 0u64;
-            let mut buf = Vec::with_capacity(width.min(4096));
-            loop {
-                buf.clear();
-                let got = input.next_batch_into(ctx, width, &mut buf)?;
-                if got == 0 {
-                    break;
-                }
-                batches += 1;
-                rows += got as u64;
-                for t in &buf {
-                    heap.insert(&t.encode_tuple("collect")?)?;
-                }
+        let (mut batches, mut rows) = (0u64, 0u64);
+        let mut buf = Vec::with_capacity(width.min(4096));
+        loop {
+            buf.clear();
+            let got = input.next_batch_into(ctx, width, &mut buf)?;
+            if got == 0 {
+                break;
             }
-            ctx.engine.stats.record_batches("collect", batches, rows);
-        } else {
-            while let Some(t) = input.next(ctx)? {
+            batches += 1;
+            rows += got as u64;
+            for t in &buf {
                 heap.insert(&t.encode_tuple("collect")?)?;
             }
         }
+        ctx.engine.stats.record_batches("collect", batches, rows);
         Ok(Value::SRel(Arc::new(heap)))
     });
 
@@ -420,7 +413,7 @@ pub fn register(e: &mut ExecEngine) {
             // The scan beneath already ran parallel where possible (see
             // `materialize`); the fold itself stays serial so that
             // floating-point accumulation order — and thus the result —
-            // is bit-identical to the legacy path.
+            // is bit-identical to the serial path.
             ctx.engine.stats.record(agg, 1, tuples.len(), 1, 0);
             aggregate(agg, tuples, idx)
         });

@@ -26,7 +26,7 @@ pub struct OpStats {
     pub pages_scanned: u64,
     /// The largest worker count any invocation actually used.
     pub max_workers: u64,
-    /// Batches emitted by the vectorized path (0 = tuple-at-a-time).
+    /// Batches emitted by the vectorized path.
     pub batches: u64,
     /// Tuples carried by those batches; `batched_rows / batches` is the
     /// observed rows-per-batch.

@@ -196,185 +196,20 @@ impl Cursor {
         }
     }
 
-    /// Pull the next tuple, touching pages only as needed.
+    /// Pull the next tuple: a batch of one through
+    /// [`Cursor::next_batch_into`], the only way a cursor produces tuples.
     pub fn next(&mut self, ctx: &mut EvalCtx) -> ExecResult<Option<Value>> {
-        match self {
-            Cursor::Mat(buf) => Ok(buf.pop_front()),
-            Cursor::Heap {
-                heap,
-                pages,
-                page_idx,
-                buf,
-            } => loop {
-                if let Some(v) = buf.pop_front() {
-                    return Ok(Some(v));
-                }
-                if *page_idx >= pages.len() {
-                    return Ok(None);
-                }
-                let page = pages[*page_idx];
-                *page_idx += 1;
-                for item in heap.scan_pages(vec![page]) {
-                    let (_, bytes) = item?;
-                    buf.push_back(Value::decode_tuple(&bytes)?);
-                }
-            },
-            Cursor::BTreeRange {
-                handle,
-                lo,
-                hi,
-                next_page,
-                primed,
-                done,
-                buf,
-            } => loop {
-                if let Some(v) = buf.pop_front() {
-                    return Ok(Some(v));
-                }
-                if *done {
-                    return Ok(None);
-                }
-                let pid = if !*primed {
-                    *primed = true;
-                    handle.tree.find_leaf(lo)?
-                } else {
-                    match *next_page {
-                        Some(p) => p,
-                        None => {
-                            *done = true;
-                            return Ok(None);
-                        }
-                    }
-                };
-                let (entries, next) = handle.tree.read_leaf(pid)?;
-                *next_page = next;
-                let mut past_hi = false;
-                for (k, v) in entries {
-                    if k.as_slice() < lo.as_slice() {
-                        continue;
-                    }
-                    if k.as_slice() > hi.as_slice() {
-                        past_hi = true;
-                        break;
-                    }
-                    buf.push_back(Value::decode_tuple(&v)?);
-                }
-                // `done` stops further page reads; buffered tuples still
-                // drain through the loop head above.
-                if past_hi || next.is_none() {
-                    *done = true;
-                }
-            },
-            Cursor::Filter {
-                input,
-                pred,
-                compiled,
-            } => loop {
-                let Some(t) = input.next(ctx)? else {
-                    return Ok(None);
-                };
-                let keep = if let Some(cf) = compiled {
-                    cf.call(std::slice::from_ref(&t))?.as_bool("filter")?
-                } else {
-                    let pred = pred.clone();
-                    ctx.call(&pred, vec![t.clone()])?.as_bool("filter")?
-                };
-                if keep {
-                    return Ok(Some(t));
-                }
-            },
-            Cursor::Project {
-                input,
-                funs,
-                compiled,
-            } => {
-                let Some(t) = input.next(ctx)? else {
-                    return Ok(None);
-                };
-                let funs = funs.clone();
-                let compiled = compiled.clone();
-                let mut fields = Vec::with_capacity(funs.len());
-                for (f, cf) in funs.iter().zip(&compiled) {
-                    fields.push(match cf {
-                        Some(cf) => cf.call(std::slice::from_ref(&t))?,
-                        None => ctx.call(f, vec![t.clone()])?,
-                    });
-                }
-                Ok(Some(Value::tuple(fields)))
-            }
-            Cursor::Replace {
-                input,
-                idx,
-                fun,
-                compiled,
-            } => {
-                let Some(t) = input.next(ctx)? else {
-                    return Ok(None);
-                };
-                let (idx, fun, compiled) = (*idx, fun.clone(), compiled.clone());
-                let mut fields = t.as_tuple("replace")?.to_vec();
-                fields[idx] = match &compiled {
-                    Some(cf) => cf.call(std::slice::from_ref(&t))?,
-                    None => ctx.call(&fun, vec![t.clone()])?,
-                };
-                Ok(Some(Value::tuple(fields)))
-            }
-            Cursor::SearchJoin {
-                outer,
-                fun,
-                current_outer,
-                inner,
-            } => loop {
-                if let Some(i) = inner.pop_front() {
-                    let o = current_outer.as_ref().expect("outer set with inner");
-                    return Ok(Some(crate::ops::relational::concat_tuples(
-                        o,
-                        &i,
-                        "search_join",
-                    )?));
-                }
-                let fun = fun.clone();
-                let Some(o) = outer.next(ctx)? else {
-                    return Ok(None);
-                };
-                let produced = ctx.call(&fun, vec![o.clone()])?;
-                *inner = materialize(ctx, produced)?.into();
-                *current_outer = Some(o);
-            },
-            Cursor::PartScan { cursors, idx, .. } => loop {
-                let Some(c) = cursors.get_mut(*idx) else {
-                    return Ok(None);
-                };
-                if let Some(t) = c.next(ctx)? {
-                    return Ok(Some(t));
-                }
-                *idx += 1;
-            },
-            Cursor::Shared(c) => {
-                let mut guard = c.lock();
-                guard.next(ctx)
-            }
-            Cursor::Head { input, remaining } => {
-                if *remaining == 0 {
-                    return Ok(None);
-                }
-                match input.next(ctx)? {
-                    Some(t) => {
-                        *remaining -= 1;
-                        Ok(Some(t))
-                    }
-                    None => {
-                        *remaining = 0;
-                        Ok(None)
-                    }
-                }
-            }
-        }
+        let mut one = Vec::with_capacity(1);
+        self.next_batch_into(ctx, 1, &mut one)?;
+        Ok(one.pop())
     }
 
-    /// Pull up to `n` tuples in one call — the vectorized counterpart of
-    /// [`Cursor::next`]. Returns `None` once exhausted, otherwise
-    /// `1..=n` tuples in the same order `next` would produce them.
+    /// Pull up to `n` tuples in one call, appending them to the
+    /// caller-owned `out` and returning how many were appended (0 once
+    /// exhausted). This is the only way a cursor produces tuples:
+    /// [`Cursor::next`] is a batch of one, and batched consumers
+    /// (`count`, `collect`, the statement-boundary drain, the parallel
+    /// scan workers) reuse one buffer across the whole drain.
     ///
     /// Sources decode a whole page per refill (one fetch and latch via
     /// the storage `visit_page`/`visit_leaf` helpers, spilling the
@@ -383,22 +218,12 @@ impl Cursor {
     /// one installed [`crate::engine::CallFrame`], paying the captured-
     /// environment clone once per batch instead of per tuple.
     ///
-    /// Semantics match the tuple-at-a-time path, with one documented
-    /// exception: `Project` evaluates column-wise (each function over
-    /// the whole batch), so when several projection functions fail
-    /// within one batch the error surfaced is the first in (function,
-    /// row) order rather than (row, function) order.
-    pub fn next_batch(&mut self, ctx: &mut EvalCtx, n: usize) -> ExecResult<Option<Vec<Value>>> {
-        let mut out = Vec::with_capacity(n.clamp(1, 4096));
-        let got = self.next_batch_into(ctx, n, &mut out)?;
-        Ok((got > 0).then_some(out))
-    }
-
-    /// [`Cursor::next_batch`] into a caller-owned buffer: appends up to
-    /// `n` tuples to `out` and returns how many were appended (0 once
-    /// exhausted). Batched consumers (`count`, `collect`, the
-    /// statement-boundary drain) reuse one buffer across the whole
-    /// drain instead of allocating a fresh vector per batch.
+    /// Error order: rows fail in pull order, except that within one
+    /// batch `Project` evaluates column-wise and so reports the first
+    /// error in (function, row) order. A width of 1 therefore reports
+    /// errors in (row, function) order. `SearchJoin` pulls its outer
+    /// side one tuple at a time, so an outer row's parameter-function
+    /// error surfaces before any error at a later outer row.
     pub fn next_batch_into(
         &mut self,
         ctx: &mut EvalCtx,
@@ -652,32 +477,35 @@ impl Cursor {
                 let mut guard = c.lock();
                 guard.next_batch_into(ctx, n, out)?;
             }
-            // The search join refills its inner buffer per outer tuple;
-            // batching adds nothing, so it stays on the tuple path.
-            Cursor::SearchJoin { .. } => {
+            Cursor::SearchJoin {
+                outer,
+                fun,
+                current_outer,
+                inner,
+            } => {
                 while out.len() < target {
-                    match self.next(ctx)? {
-                        Some(t) => out.push(t),
-                        None => break,
+                    if let Some(i) = inner.pop_front() {
+                        let o = current_outer.as_ref().expect("outer set with inner");
+                        out.push(crate::ops::relational::concat_tuples(o, &i, "search_join")?);
+                        continue;
                     }
+                    let Some(o) = outer.next(ctx)? else {
+                        break;
+                    };
+                    let produced = ctx.call(fun, vec![o.clone()])?;
+                    *inner = materialize(ctx, produced)?.into();
+                    *current_outer = Some(o);
                 }
             }
         }
         Ok(out.len() - start)
     }
 
-    /// Drain the remaining tuples. With an engine batch width above 1
-    /// the drain pulls whole batches (recorded under the `materialize`
-    /// operator); width 1 is the exact legacy tuple-at-a-time loop.
+    /// Drain the remaining tuples in batches of the engine's width
+    /// (recorded under the `materialize` operator; width 1 is a batch
+    /// per tuple).
     pub fn drain(&mut self, ctx: &mut EvalCtx) -> ExecResult<Vec<Value>> {
         let width = ctx.engine.batch_size();
-        if width <= 1 {
-            let mut out = Vec::new();
-            while let Some(t) = self.next(ctx)? {
-                out.push(t);
-            }
-            return Ok(out);
-        }
         let mut out = Vec::new();
         let mut batches = 0u64;
         while self.next_batch_into(ctx, width, &mut out)? > 0 {
@@ -713,7 +541,7 @@ impl std::fmt::Debug for Cursor {
 /// Turn any stream-like value into its tuples, draining cursors.
 ///
 /// When the engine has more than one worker and the cursor is an
-/// undrained heap scan under pure pipeline steps, the drain runs
+/// undrained scan under compiled pipeline steps, the drain runs
 /// data-parallel (see [`crate::parallel`]); the result is identical to
 /// the serial drain, in the same order.
 pub fn materialize(ctx: &mut EvalCtx, v: Value) -> ExecResult<Vec<Value>> {

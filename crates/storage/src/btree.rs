@@ -140,10 +140,6 @@ impl Node {
     }
 }
 
-/// The entries of one leaf page paired with the next leaf in the chain
-/// (returned by [`BTree::read_leaf`]).
-pub type LeafContents = (Vec<(KeyBytes, Vec<u8>)>, Option<PageId>);
-
 /// A clustered B+-tree handle.
 pub struct BTree {
     pool: Arc<BufferPool>,
@@ -336,15 +332,6 @@ impl BTree {
         }
     }
 
-    /// Read one leaf page: its `(key, record)` entries and the next leaf
-    /// in the chain (drives owned streaming cursors in higher layers).
-    pub fn read_leaf(&self, pid: PageId) -> StorageResult<LeafContents> {
-        match self.read_node(pid)? {
-            Node::Leaf { entries, next } => Ok((entries, next)),
-            Node::Inner { .. } => Err(StorageError::Corrupt("expected a leaf page".into())),
-        }
-    }
-
     /// Visit every `(key, record)` of one leaf in key order, returning
     /// the next leaf in the chain — the page-at-a-time decode path of
     /// the batch executor (one node read per page, no per-entry copy
@@ -354,7 +341,9 @@ impl BTree {
         E: From<StorageError>,
         F: FnMut(&[u8], &[u8]) -> Result<(), E>,
     {
-        let (entries, next) = self.read_leaf(pid)?;
+        let Node::Leaf { entries, next } = self.read_node(pid)? else {
+            return Err(StorageError::Corrupt("expected a leaf page".into()).into());
+        };
         for (k, v) in &entries {
             f(k.as_slice(), v)?;
         }

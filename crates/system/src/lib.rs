@@ -337,8 +337,8 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Vectorized batch width for cursor drains (default: 1024; `1` is
-    /// exactly the tuple-at-a-time engine).
+    /// Vectorized batch width for cursor drains (default: 1024). Every
+    /// width runs the same batch path; `1` pulls a batch of one tuple.
     pub fn batch_size(mut self, n: usize) -> DatabaseBuilder {
         self.batch_size = Some(n);
         self
@@ -347,7 +347,9 @@ impl DatabaseBuilder {
     /// Enable or disable the expression compiler (default: enabled).
     /// When on, checked predicate and map closures lower to flat batch
     /// bytecode; when off, every closure runs through the tree-walking
-    /// interpreter. The two modes compute identical results and errors.
+    /// interpreter and closure pipelines run serially (only compiled
+    /// programs run on parallel workers). The two modes compute
+    /// identical results and errors.
     pub fn compile_exprs(mut self, on: bool) -> DatabaseBuilder {
         self.compile_exprs = Some(on);
         self
@@ -669,9 +671,9 @@ impl Database {
         self.engine.workers()
     }
 
-    /// Set the vectorized batch width at runtime. `1` restores the
-    /// exact tuple-at-a-time drains; larger widths pull whole batches
-    /// through the cursor pipeline. (Initial value:
+    /// Set the vectorized batch width at runtime: the number of tuples
+    /// each pull moves through the cursor pipeline (`1` is a batch of
+    /// one). (Initial value:
     /// [`DatabaseBuilder::batch_size`], default 1024.)
     pub fn set_batch_size(&mut self, n: usize) {
         self.engine.set_batch_size(n);
@@ -683,8 +685,9 @@ impl Database {
     }
 
     /// Turn the expression compiler on or off at runtime. `false`
-    /// forces every closure through the tree-walking interpreter; the
-    /// differential suite runs both modes over the same statements.
+    /// forces every closure through the tree-walking interpreter and
+    /// runs closure pipelines serially; the differential suite runs
+    /// both modes over the same statements.
     /// (Initial value: [`DatabaseBuilder::compile_exprs`], default on.)
     pub fn set_compile_exprs(&mut self, on: bool) {
         self.engine.set_compile_exprs(on);

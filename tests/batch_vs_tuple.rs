@@ -184,6 +184,28 @@ fn e3_style_programs_match_tuple_at_a_time() {
 #[test]
 fn runtime_errors_match_tuple_at_a_time() {
     let mut db = rep_db(3000);
+    // A second tuple type, so the search join below has disjoint
+    // attributes.
+    db.run(
+        r#"
+        type mate = tuple(<(j, int), (tag, string)>);
+        create mate_rep : tidrel(mate);
+    "#,
+    )
+    .unwrap();
+    let mates: Vec<Value> = (0..50)
+        .map(|i| Value::tuple(vec![Value::Int(i), Value::Str(format!("m{i}"))]))
+        .collect();
+    db.bulk_insert("mate_rep", mates).unwrap();
+    // The outer filter fails at k = 9 ("division by zero"); the parameter
+    // function fails earlier, at k = 4 ("modulo by zero"). The search
+    // join pulls its outer side one tuple at a time, so k = 4's error
+    // wins at every width. The `consume` form also takes the parallel
+    // search-join rewrite at four workers.
+    let search_join = "heap_rep feed filter[100 div (k - 9) > -1000] \
+        (fun (t: item) mate_rep feed filter[fun (m: mate) m j mod (t k - 4) = 0]) \
+        search_join count";
+    let search_join_consume = search_join.replace(" count", " consume");
     // k = 0 divides by zero; every batch width must surface the same
     // error the tuple-at-a-time drain does.
     assert_differential(
@@ -191,8 +213,14 @@ fn runtime_errors_match_tuple_at_a_time() {
         &[
             "heap_rep feed filter[100 div k = 1] count",
             "heap_rep feed replace[k, fun (t: item) t k div t grp] consume",
+            search_join,
+            &search_join_consume,
         ],
     );
+    for q in [search_join, &search_join_consume] {
+        let err = run(&mut db, q).unwrap_err();
+        assert!(err.contains("modulo by zero"), "`{q}`: {err}");
+    }
 }
 
 #[test]
@@ -210,12 +238,13 @@ fn batched_drains_are_visible_in_metrics() {
         "count stats: {count:?}"
     );
 
-    // Width 1 takes the legacy path: no batch traffic recorded.
+    // Width 1 runs the same batch path: one batch per surviving row.
     db.set_batch_size(1);
     db.reset_metrics();
     db.query("heap_rep feed filter[grp = 3] count").unwrap();
     let count = db.op_stats("count").expect("count ran");
-    assert_eq!(count.batches, 0, "count stats: {count:?}");
+    assert_eq!(count.batches, 300, "count stats: {count:?}");
+    assert_eq!(count.batched_rows, 300, "count stats: {count:?}");
 }
 
 #[test]

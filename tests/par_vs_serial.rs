@@ -213,6 +213,45 @@ fn impure_predicates_fall_back_to_serial() {
 }
 
 #[test]
+fn uncompiled_pipelines_run_serially() {
+    // Only compiled programs run on parallel workers: with the
+    // expression compiler off, a filter-count stays serial even with
+    // four workers, and still agrees with the one-worker result.
+    let pool = sos_storage::mem_pool(4096);
+    let mut db = Database::builder()
+        .pool(pool.clone())
+        .compile_exprs(false)
+        .workers(4)
+        .build();
+    db.run(
+        r#"
+        type item = tuple(<(k, int), (grp, int), (pad, string)>);
+        create heap_rep : tidrel(item);
+    "#,
+    )
+    .unwrap();
+    let items: Vec<Value> = (0..3000)
+        .map(|i| {
+            Value::tuple(vec![
+                Value::Int(i as i64),
+                Value::Int((i % 10) as i64),
+                Value::Str(format!("{:0180}", i)),
+            ])
+        })
+        .collect();
+    db.bulk_insert("heap_rep", items).unwrap();
+    let query = "heap_rep feed filter[k mod 7 = 0] count";
+    db.reset_metrics();
+    let parallel = run(&mut db, query);
+    let count = db.op_stats("count").expect("count ran");
+    assert_eq!(count.parallel_invocations, 0, "count stats: {count:?}");
+    db.set_parallelism(1);
+    assert_eq!(parallel, run(&mut db, query));
+    assert_eq!(parallel, Ok(Value::Int(429)));
+    assert_eq!(pool.pinned_frames(), 0, "serial scan leaked page pins");
+}
+
+#[test]
 fn parallel_speedup_on_multicore() {
     // The acceptance check for the parallel scan: >1.5x on a machine
     // with enough cores. On small machines it degenerates to a smoke
